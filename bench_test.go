@@ -10,6 +10,7 @@ package dvs_test
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,6 +229,72 @@ func BenchmarkE8TOThroughput(b *testing.B) {
 			b.ReportMetric(rate/float64(b.N), "msg/s")
 		})
 	}
+}
+
+// BenchmarkRetainedHeapPerMsg measures the live heap a cluster keeps per
+// delivered message: in-memory n=5, one group, a closed loop of 256
+// outstanding 16-byte broadcasts round-robin over all submitters, 100k
+// messages per iteration. The heap is read after two GCs once every
+// process has delivered everything and safe indications have settled, and
+// the growth over the post-setup heap is divided by the message count.
+// Retained state that grows with the run shows up here directly; unlike an
+// end-of-episode heap reading it does not grow with throughput.
+func BenchmarkRetainedHeapPerMsg(b *testing.B) {
+	const total, window = 100000, 256
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var perMsg, rate float64
+	for i := 0; i < b.N; i++ {
+		c, err := dvs.NewCluster(dvs.Config{Processes: 5, Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		procs := c.Processes()
+		var delivered [5]atomic.Int64
+		for k, p := range procs {
+			ch, cnt := p.Deliveries(), &delivered[k]
+			go func() {
+				for range ch {
+					cnt.Add(1)
+				}
+			}()
+		}
+		for _, p := range procs {
+			for !p.Established() {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		base := liveHeap()
+		start := time.Now()
+		for sent := 0; sent < total; {
+			if int64(sent)-delivered[0].Load() >= window {
+				runtime.Gosched()
+				continue
+			}
+			procs[sent%len(procs)].Broadcast(fmt.Sprintf("%016d", sent))
+			sent++
+		}
+		for k := range delivered {
+			for deadline := time.Now().Add(30 * time.Second); delivered[k].Load() < total; {
+				if time.Now().After(deadline) {
+					b.Fatalf("process %d delivered %d of %d", k, delivered[k].Load(), total)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		rate += total / time.Since(start).Seconds()
+		time.Sleep(500 * time.Millisecond)
+		perMsg += (float64(liveHeap()) - float64(base)) / total
+		runtime.KeepAlive(c)
+		c.Close()
+	}
+	b.ReportMetric(perMsg/float64(b.N), "retained-B/msg")
+	b.ReportMetric(rate/float64(b.N), "msg/s")
 }
 
 // BenchmarkE14ShardedThroughput measures aggregate totally-ordered delivery

@@ -166,3 +166,39 @@ func TestReplayEmpty(t *testing.T) {
 		t.Fatalf("empty replay not OK: %s", rep)
 	}
 }
+
+// TestReplayComparesBatchesStructurally records a send whose batch differs
+// from the re-derived one only in where the member boundaries fall. Both
+// render to the same key ("batch[c:a|c:b]"), so only a structural
+// comparison reports the divergence.
+func TestReplayComparesBatchesStructurally(t *testing.T) {
+	p := types.ProcID(0)
+	initial := types.InitialView(types.RangeProcSet(1))
+	sent := types.Batch{Msgs: []types.Msg{types.ClientMsg("a"), types.ClientMsg("b")}}
+	forged := types.Batch{Msgs: []types.Msg{types.ClientMsg("a|c:b")}}
+	if sent.MsgKey() != forged.MsgKey() {
+		t.Fatalf("premise: keys %q and %q should collide", sent.MsgKey(), forged.MsgKey())
+	}
+	var out dvscore.Outbox
+	dvscore.Step(dvscore.NewNode(p, initial, true), dvscore.EvClientSend{M: sent}, true, &out)
+	if len(out.Effects) != 1 {
+		t.Fatalf("client send produced %d effects, want one FxSendVS", len(out.Effects))
+	}
+	if _, ok := out.Effects[0].(dvscore.FxSendVS); !ok {
+		t.Fatalf("client send produced %T, want FxSendVS", out.Effects[0])
+	}
+	logFor := func(m types.Msg) NodeLog {
+		return NodeLog{P: p, Initial: initial, InP0: true, Register: true, GC: true,
+			DVS: []DVSRecord{{Ev: dvscore.EvClientSend{M: sent}, Fx: []dvscore.Effect{dvscore.FxSendVS{M: m}}}}}
+	}
+	if rep := Replay([]NodeLog{logFor(sent)}); len(rep.Divergences) != 0 {
+		t.Fatalf("faithful record diverged: %v", rep.Divergences)
+	}
+	rep := Replay([]NodeLog{logFor(forged)})
+	if len(rep.Divergences) != 1 {
+		t.Fatalf("forged batch boundary: %d divergences, want 1 (%s)", len(rep.Divergences), rep)
+	}
+	if d := rep.Divergences[0]; d.Layer != "dvs" || d.Index != 0 {
+		t.Errorf("divergence at %s step %d, want dvs step 0", d.Layer, d.Index)
+	}
+}

@@ -141,10 +141,10 @@ func stepDVSRecord(rep *Report, window int, p types.ProcID, gc bool, dn dvscore.
 	var out dvscore.Outbox
 	dvscore.Step(dn, rec.Ev, gc, &out)
 	rep.DVSSteps++
-	if want, got := renderDVSEffects(rec.Fx), renderDVSEffects(out.Effects); want != got {
+	if !sameEffects(rec.Fx, out.Effects, sameDVSEffect) {
 		rep.Divergences = append(rep.Divergences, Divergence{
 			P: p, Layer: "dvs", Index: index, Window: window,
-			Event: renderDVSEvent(rec.Ev), Want: want, Got: got,
+			Event: renderDVSEvent(rec.Ev), Want: renderDVSEffects(rec.Fx), Got: renderDVSEffects(out.Effects),
 		})
 	}
 }
@@ -156,16 +156,17 @@ func stepTORecord(rep *Report, window int, p types.ProcID, register bool, tn *to
 	var out tocore.Outbox
 	err := tocore.Step(tn, rec.Ev, register, &out)
 	rep.TOSteps++
-	want, got := renderTOEffects(rec.Fx), renderTOEffects(out.Effects)
+	if err == nil && sameEffects(rec.Fx, out.Effects, sameTOEffect) {
+		return
+	}
+	got := renderTOEffects(out.Effects)
 	if err != nil {
 		got = "error: " + err.Error()
 	}
-	if want != got {
-		rep.Divergences = append(rep.Divergences, Divergence{
-			P: p, Layer: "to", Index: index, Window: window,
-			Event: renderTOEvent(rec.Ev), Want: want, Got: got,
-		})
-	}
+	rep.Divergences = append(rep.Divergences, Divergence{
+		P: p, Layer: "to", Index: index, Window: window,
+		Event: renderTOEvent(rec.Ev), Want: renderTOEffects(rec.Fx), Got: got,
+	})
 }
 
 // Replay re-executes the recorded logs through the protocol cores and
@@ -404,9 +405,67 @@ func viewOracles(procs []types.ProcID, nodes map[types.ProcID]*dvscore.Node) ([]
 	}
 }
 
-// Rendering: canonical strings for events and effects, used both for
-// divergence comparison and for messages. MsgKey/String are the same
-// canonical forms the model checker fingerprints.
+// sameEffects reports whether two effect sequences are equal element by
+// element under same. Divergence detection compares effects structurally:
+// rendered keys are not injective (a client payload may contain the '|'
+// that separates batch members), so they are built only for reports.
+func sameEffects[E any](want, got []E, same func(a, b E) bool) bool {
+	if len(want) != len(got) {
+		return false
+	}
+	for i := range want {
+		if !same(want[i], got[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameDVSEffect(a, b dvscore.Effect) bool {
+	switch x := a.(type) {
+	case dvscore.FxSendVS:
+		y, ok := b.(dvscore.FxSendVS)
+		return ok && types.SameMsg(x.M, y.M)
+	case dvscore.FxDeliver:
+		y, ok := b.(dvscore.FxDeliver)
+		return ok && x.From == y.From && types.SameMsg(x.M, y.M)
+	case dvscore.FxSafeInd:
+		y, ok := b.(dvscore.FxSafeInd)
+		return ok && x.From == y.From && types.SameMsg(x.M, y.M)
+	case dvscore.FxNewPrimary:
+		y, ok := b.(dvscore.FxNewPrimary)
+		return ok && x.View.Equal(y.View)
+	case dvscore.FxGC:
+		y, ok := b.(dvscore.FxGC)
+		return ok && x.View.Equal(y.View)
+	}
+	return false
+}
+
+func sameTOEffect(a, b tocore.Effect) bool {
+	switch x := a.(type) {
+	case tocore.FxLabel:
+		y, ok := b.(tocore.FxLabel)
+		return ok && x == y
+	case tocore.FxSend:
+		y, ok := b.(tocore.FxSend)
+		return ok && types.SameMsg(x.M, y.M)
+	case tocore.FxConfirm:
+		_, ok := b.(tocore.FxConfirm)
+		return ok
+	case tocore.FxDeliver:
+		y, ok := b.(tocore.FxDeliver)
+		return ok && x == y
+	case tocore.FxRegister:
+		y, ok := b.(tocore.FxRegister)
+		return ok && x.View.Equal(y.View)
+	}
+	return false
+}
+
+// Rendering: canonical strings for events and effects, used in divergence
+// reports. MsgKey/String are the same canonical forms the model checker
+// fingerprints.
 
 func renderDVSEvent(ev dvscore.Event) string {
 	switch e := ev.(type) {

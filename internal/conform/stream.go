@@ -31,9 +31,10 @@ import (
 // Every segment is written to a temporary file in the same directory,
 // fsynced, and renamed into place, so a crash at any point leaves either a
 // complete segment or none: the sealed prefix of a torn trace is always
-// replayable. Segment payloads are gob, framed by a magic string, an
-// explicit length, and a CRC so torn or foreign files are detected rather
-// than misparsed.
+// replayable. One writer goroutine per recorder encodes and writes the
+// segments in the order they were cut, off the nodes' event loops.
+// Segment payloads are gob, framed by a magic string, an explicit length,
+// and a CRC so torn or foreign files are detected rather than misparsed.
 //
 // The recorder shared by all nodes of a run serializes every record under
 // one mutex. That linearization is what makes chunk boundaries consistent
@@ -191,7 +192,8 @@ func syncDir(dir string) {
 
 // StreamOptions bound the recorder's in-memory window. A cut is taken as
 // soon as either threshold is reached, so recorder memory is O(window)
-// regardless of run length.
+// regardless of run length: the open window, at most one cut window
+// waiting for the writer and the one it is writing.
 type StreamOptions struct {
 	// WindowSteps cuts a chunk after this many buffered macro-steps summed
 	// over all nodes and both layers (default 4096).
@@ -217,6 +219,13 @@ func (o StreamOptions) withDefaults() StreamOptions {
 // boundary a consistent cut (see the format comment above). Register each
 // node with Node before any observer fires; Close after every node has
 // stopped to write the final quiescent cut and the sealing footer.
+//
+// A cut only hands its window to the recorder's writer goroutine, which
+// gob-encodes and writes the segments in cut order. Encoding a window
+// takes tens of milliseconds once the recovery summaries in it grow; under
+// mu that would stall every node of the run for as long. A cut that finds
+// the writer two windows behind waits for it, so a crash loses at most the
+// open window and the two cut windows not yet on disk.
 type StreamRecorder struct {
 	dir  string
 	opts StreamOptions
@@ -224,13 +233,25 @@ type StreamRecorder struct {
 	mu      sync.Mutex
 	nodes   []*StreamNode // sorted by P
 	byP     map[types.ProcID]*StreamNode
-	started bool // header written; registration closed
+	started bool // header queued and writer running; registration closed
 	closed  bool
 	seq     int
 	steps   int // records buffered since the last cut
 	bytes   int // estimated buffered payload bytes
 	peak    int // high-water mark of steps (the O(window) witness)
-	err     error
+
+	queue chan segment  // cut segments for the writer, in cut order
+	wdone chan struct{} // closed when the writer has exited
+
+	emu sync.Mutex // leaf lock: the writer never takes mu
+	err error      // first write error, guarded by emu
+}
+
+// segment is one file for the writer: its name in the trace directory and
+// the value to encode into it.
+type segment struct {
+	name string
+	v    any
 }
 
 // StreamNode buffers one node's records into the shared recorder. Its
@@ -308,7 +329,7 @@ func (r *StreamRecorder) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return r.err
+		return r.writeErr()
 	}
 	r.closed = true
 	if r.steps > 0 {
@@ -317,24 +338,26 @@ func (r *StreamRecorder) Close() error {
 	if !r.started {
 		r.writeHeaderLocked()
 	}
-	if r.err == nil {
-		ft := streamFooter{Chunks: r.seq}
-		for _, sn := range r.nodes {
-			ft.Totals = append(ft.Totals, nodeTotal{P: sn.meta.P, DVS: sn.dvsStart, TO: sn.toStart})
-		}
-		if err := writeSegment(filepath.Join(r.dir, footerSeg), ft); err != nil {
-			r.err = err
-		}
+	ft := streamFooter{Chunks: r.seq}
+	for _, sn := range r.nodes {
+		ft.Totals = append(ft.Totals, nodeTotal{P: sn.meta.P, DVS: sn.dvsStart, TO: sn.toStart})
 	}
-	return r.err
+	// The writer stops at its first error, so the footer is written only
+	// after every chunk before it.
+	r.enqueueLocked(footerSeg, ft)
+	close(r.queue)
+	<-r.wdone
+	return r.writeErr()
 }
 
-// Err returns the sticky first write error (nil while healthy). Records
-// observed after an error are dropped; the sealed prefix on disk stays
-// valid.
-func (r *StreamRecorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// Err returns the sticky first write error (nil while healthy). The writer
+// reports an error once it reaches the failing segment; records observed
+// after that are dropped, and the sealed prefix on disk stays valid.
+func (r *StreamRecorder) Err() error { return r.writeErr() }
+
+func (r *StreamRecorder) writeErr() error {
+	r.emu.Lock()
+	defer r.emu.Unlock()
 	return r.err
 }
 
@@ -352,17 +375,42 @@ func (r *StreamRecorder) writeHeaderLocked() {
 	for _, sn := range r.nodes {
 		hdr.Nodes = append(hdr.Nodes, sn.meta)
 	}
-	if err := writeSegment(filepath.Join(r.dir, headerSeg), hdr); err != nil && r.err == nil {
-		r.err = err
-	}
+	r.queue = make(chan segment, 1)
+	r.wdone = make(chan struct{})
+	go r.writeLoop()
 	r.started = true
+	r.enqueueLocked(headerSeg, hdr)
+}
+
+// enqueueLocked hands one segment to the writer, waiting while a segment
+// is already queued behind the one being written. A writer that stopped on
+// an error takes nothing more; the segment is then dropped.
+func (r *StreamRecorder) enqueueLocked(name string, v any) {
+	select {
+	case r.queue <- segment{name: name, v: v}:
+	case <-r.wdone:
+	}
+}
+
+// writeLoop writes the queued segments in order and stops at the first
+// failure, so no segment lands on disk after one that is missing.
+func (r *StreamRecorder) writeLoop() {
+	defer close(r.wdone)
+	for seg := range r.queue {
+		if err := writeSegment(filepath.Join(r.dir, seg.name), seg.v); err != nil {
+			r.emu.Lock()
+			r.err = err
+			r.emu.Unlock()
+			return
+		}
+	}
 }
 
 func (r *StreamRecorder) cutLocked(quiescent bool) {
 	if !r.started {
 		r.writeHeaderLocked()
 	}
-	if r.err != nil {
+	if r.writeErr() != nil {
 		return
 	}
 	ch := streamChunk{Seq: r.seq + 1, Quiescent: quiescent}
@@ -375,11 +423,8 @@ func (r *StreamRecorder) cutLocked(quiescent bool) {
 		sn.dvs, sn.to = nil, nil
 	}
 	r.steps, r.bytes = 0, 0
-	if err := writeSegment(filepath.Join(r.dir, chunkSeg(ch.Seq)), ch); err != nil {
-		r.err = err
-		return
-	}
 	r.seq = ch.Seq
+	r.enqueueLocked(chunkSeg(ch.Seq), ch)
 }
 
 // noteLocked accounts one buffered record and cuts when a threshold is hit.
@@ -405,7 +450,7 @@ func (sn *StreamNode) ObserveDVS(ev dvscore.Event, fx []dvscore.Effect) {
 	r := sn.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.err != nil {
+	if r.closed || r.writeErr() != nil {
 		return
 	}
 	sn.dvs = append(sn.dvs, rec)
@@ -422,7 +467,7 @@ func (sn *StreamNode) ObserveTO(ev tocore.Event, fx []tocore.Effect) {
 	r := sn.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.err != nil {
+	if r.closed || r.writeErr() != nil {
 		return
 	}
 	sn.to = append(sn.to, rec)

@@ -340,6 +340,40 @@ func TestStreamRecorderRegistration(t *testing.T) {
 	}
 }
 
+// The writer goroutine writes segments off the event loop; a write failure
+// must still surface from Err and Close, stop the recording, and leave no
+// footer, and Close must not wait forever on a writer that stopped.
+func TestStreamRecorderWriteFailureIsSticky(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "trace")
+	sr, err := NewStreamRecorder(dir, StreamOptions{WindowSteps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := sr.Node(0, 0, types.InitialView(types.RangeProcSet(1)), true, true, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A regular file where the directory was: every segment write fails.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		sn.ObserveDVS(dvscore.EvClientRegister{}, nil)
+	}
+	if err := sr.Close(); err == nil {
+		t.Fatal("close reported no error for an unwritable trace directory")
+	}
+	if sr.Err() == nil {
+		t.Error("Err is nil after a failed write")
+	}
+	if _, err := os.Stat(filepath.Join(dir, footerSeg)); err == nil {
+		t.Error("footer written after a failed segment")
+	}
+}
+
 func TestReplayRejectsDuplicateProcessLogs(t *testing.T) {
 	log := recordedRun(t)
 	rep := Replay([]NodeLog{log, log})

@@ -55,6 +55,21 @@ func (m InfoMsg) WriteFp(w types.FpWriter) {
 	}
 }
 
+// EqualMsg implements types.MsgEqualer: the same active view and the same
+// ambiguous set, view by view.
+func (m InfoMsg) EqualMsg(o types.Msg) bool {
+	om, ok := o.(InfoMsg)
+	if !ok || !m.Act.Equal(om.Act) || len(m.Amb) != len(om.Amb) {
+		return false
+	}
+	for i, v := range m.Amb {
+		if !v.Equal(om.Amb[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns an independent copy.
 func (m InfoMsg) Clone() InfoMsg { return NewInfoMsg(m.Act, m.Amb) }
 
@@ -70,6 +85,12 @@ func (RegisteredMsg) MsgKey() string { return "registered" }
 // WriteFp streams the canonical key into a fingerprint digest.
 func (RegisteredMsg) WriteFp(w types.FpWriter) { w.Str("registered") }
 
+// EqualMsg implements types.MsgEqualer.
+func (RegisteredMsg) EqualMsg(o types.Msg) bool {
+	_, ok := o.(RegisteredMsg)
+	return ok
+}
+
 // ServiceMsg marks RegisteredMsg as internal to the group-communication
 // layer.
 func (RegisteredMsg) ServiceMsg() {}
@@ -77,6 +98,8 @@ func (RegisteredMsg) ServiceMsg() {}
 var (
 	_ types.ServiceMsg = InfoMsg{}
 	_ types.ServiceMsg = RegisteredMsg{}
+	_ types.MsgEqualer = InfoMsg{}
+	_ types.MsgEqualer = RegisteredMsg{}
 )
 
 // Purge deletes every non-client ("info" or "registered") message from q,

@@ -87,9 +87,21 @@ func (m SummaryMsg) WriteFp(w types.FpWriter) {
 	m.X.WriteFp(w)
 }
 
+// EqualMsg implements types.MsgEqualer.
+func (m LabelMsg) EqualMsg(o types.Msg) bool {
+	om, ok := o.(LabelMsg)
+	return ok && m == om
+}
+
+// EqualMsg implements types.MsgEqualer.
+func (m SummaryMsg) EqualMsg(o types.Msg) bool {
+	om, ok := o.(SummaryMsg)
+	return ok && m.X.Equal(om.X)
+}
+
 var (
-	_ types.Msg = LabelMsg{}
-	_ types.Msg = SummaryMsg{}
+	_ types.MsgEqualer = LabelMsg{}
+	_ types.MsgEqualer = SummaryMsg{}
 )
 
 // Node is the state of the DVS-TO-TO_p automaton of Figure 5.
@@ -103,10 +115,10 @@ type Node struct {
 	current     types.View
 	currentOK   bool
 	status      Status
-	content     types.Content
+	content     labelMap[string]
 	nextSeqno   int
 	buffer      []types.Label
-	safeLabels  map[types.Label]struct{}
+	safeLabels  labelMap[struct{}]
 	order       []types.Label
 	nextConfirm int
 	nextReport  int
@@ -130,9 +142,7 @@ func NewNode(p types.ProcID, initial types.View, inP0, literal bool) *Node {
 		fpPre:       "t" + p.String() + ".",
 		literal:     literal,
 		status:      StatusNormal,
-		content:     make(types.Content),
 		nextSeqno:   1,
-		safeLabels:  make(map[types.Label]struct{}),
 		nextConfirm: 1,
 		nextReport:  1,
 		gotstate:    make(types.GotState),
@@ -178,7 +188,11 @@ func (n *Node) ConfirmedOrder() []types.Label {
 }
 
 // Content returns a copy of the content relation.
-func (n *Node) Content() types.Content { return n.content.Clone() }
+func (n *Node) Content() types.Content {
+	c := make(types.Content, n.content.size())
+	n.content.each(func(l types.Label, a string) { c[l] = a })
+	return c
+}
 
 // GotState returns a copy of the recovery state summaries received.
 func (n *Node) GotState() types.GotState { return n.gotstate.Clone() }
@@ -193,7 +207,7 @@ func (n *Node) NextConfirm() int { return n.nextConfirm }
 // sent during recovery.
 func (n *Node) Summary() types.Summary {
 	return types.Summary{
-		Con:  n.content.Clone(),
+		Con:  n.Content(),
 		Ord:  types.CloneSeq(n.order),
 		Next: n.nextConfirm,
 		High: n.highPrimary,
@@ -212,7 +226,7 @@ func (n *Node) OnDVSNewView(v types.View) {
 	n.buffer = nil
 	n.gotstate = make(types.GotState)
 	n.safeExch = types.NewProcSet()
-	n.safeLabels = make(map[types.Label]struct{})
+	n.safeLabels = labelMap[struct{}]{}
 	n.status = StatusSend
 }
 
@@ -220,11 +234,13 @@ func (n *Node) OnDVSNewView(v types.View) {
 func (n *Node) OnDVSGpRcv(m types.Msg, q types.ProcID) error {
 	switch msg := m.(type) {
 	case LabelMsg:
-		n.content[msg.L] = msg.A
+		n.content.put(msg.L, msg.A)
 		n.order = append(n.order, msg.L)
 		return nil
 	case SummaryMsg:
-		n.content.Merge(msg.X.Con)
+		for l, a := range msg.X.Con {
+			n.content.put(l, a)
+		}
 		n.gotstate[q] = msg.X.Clone()
 		if n.currentOK && n.status == StatusCollect && gotAll(n.gotstate, n.current.Members) {
 			n.establish()
@@ -264,7 +280,7 @@ func (n *Node) establish() {
 func (n *Node) OnDVSSafe(m types.Msg, q types.ProcID) error {
 	switch m.(type) {
 	case LabelMsg:
-		n.safeLabels[m.(LabelMsg).L] = struct{}{}
+		n.safeLabels.put(m.(LabelMsg).L, struct{}{})
 		return nil
 	case SummaryMsg:
 		n.safeExch.Add(q)
@@ -272,9 +288,7 @@ func (n *Node) OnDVSSafe(m types.Msg, q types.ProcID) error {
 			// Figure 5 exactly: mark as soon as safe-exch covers the view,
 			// regardless of whether the exchange has completed locally.
 			if n.currentOK && n.safeExch.Equal(n.current.Members) {
-				for _, l := range n.gotstate.FullOrder() {
-					n.safeLabels[l] = struct{}{}
-				}
+				n.markSafe(n.gotstate.FullOrder())
 			}
 			return nil
 		}
@@ -296,8 +310,12 @@ func (n *Node) maybeMarkExchangeSafe() {
 	if !n.safeExch.Equal(n.current.Members) {
 		return
 	}
-	for _, l := range n.gotstate.FullOrder() {
-		n.safeLabels[l] = struct{}{}
+	n.markSafe(n.gotstate.FullOrder())
+}
+
+func (n *Node) markSafe(ls []types.Label) {
+	for _, l := range ls {
+		n.safeLabels.put(l, struct{}{})
 	}
 }
 
@@ -328,7 +346,7 @@ func (n *Node) PerformLabel(a string) error {
 		return fmt.Errorf("label(%s)_%s: not enabled", a, n.p)
 	}
 	l := types.Label{ID: n.current.ID, Seqno: n.nextSeqno, Origin: n.p}
-	n.content[l] = a
+	n.content.put(l, a)
 	n.buffer = append(n.buffer, l)
 	n.nextSeqno++
 	n.delay = n.delay[1:]
@@ -342,7 +360,7 @@ func (n *Node) GpSndLabel() (LabelMsg, bool) {
 		return LabelMsg{}, false
 	}
 	l := n.buffer[0]
-	a, ok := n.content[l]
+	a, ok := n.content.get(l)
 	if !ok {
 		return LabelMsg{}, false
 	}
@@ -371,7 +389,7 @@ func (n *Node) GpSndSummary() (SummaryMsg, bool) {
 // TakeGpSndSummary applies the effect of sending the summary.
 func (n *Node) TakeGpSndSummary(m SummaryMsg) error {
 	head, ok := n.GpSndSummary()
-	if !ok || head.MsgKey() != m.MsgKey() {
+	if !ok || !head.X.Equal(m.X) {
 		return fmt.Errorf("dvs-gpsnd(summary)_%s: not enabled", n.p)
 	}
 	n.status = StatusCollect
@@ -383,8 +401,7 @@ func (n *Node) ConfirmEnabled() bool {
 	if n.nextConfirm > len(n.order) {
 		return false
 	}
-	_, ok := n.safeLabels[n.order[n.nextConfirm-1]]
-	return ok
+	return n.safeLabels.has(n.order[n.nextConfirm-1])
 }
 
 // PerformConfirm applies the internal confirm action.
@@ -403,7 +420,7 @@ func (n *Node) BRcvNext() (a string, origin types.ProcID, ok bool) {
 		return "", 0, false
 	}
 	l := n.order[n.nextReport-1]
-	payload, has := n.content[l]
+	payload, has := n.content.get(l)
 	if !has {
 		return "", 0, false
 	}
@@ -447,7 +464,7 @@ func (n *Node) Clone() *Node {
 		content:     n.content.Clone(),
 		nextSeqno:   n.nextSeqno,
 		buffer:      types.CloneSeq(n.buffer),
-		safeLabels:  make(map[types.Label]struct{}, len(n.safeLabels)),
+		safeLabels:  n.safeLabels.Clone(),
 		order:       types.CloneSeq(n.order),
 		nextConfirm: n.nextConfirm,
 		nextReport:  n.nextReport,
@@ -458,9 +475,6 @@ func (n *Node) Clone() *Node {
 		delay:       types.CloneSeq(n.delay),
 		established: make(map[types.ViewID]bool, len(n.established)),
 		buildOrder:  make(map[types.ViewID][]types.Label, len(n.buildOrder)),
-	}
-	for l := range n.safeLabels {
-		c.safeLabels[l] = struct{}{}
 	}
 	for g, b := range n.registered {
 		c.registered[g] = b
@@ -485,10 +499,20 @@ func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
 		f.End()
 	}
 	f.Add("status", n.status.String())
-	if len(n.content) > 0 {
+	if ls := n.content.labels(); len(ls) > 0 {
+		// Same bytes as types.Content.WriteFp over the relation.
 		f.Begin("content")
-		f.Byte('=')
-		n.content.WriteFp(f)
+		f.Str("={")
+		for i, l := range ls {
+			if i > 0 {
+				f.Byte(' ')
+			}
+			l.WriteFp(f)
+			f.Byte('=')
+			a, _ := n.content.get(l)
+			f.Str(a)
+		}
+		f.Byte('}')
 		f.End()
 	}
 	f.AddInt("nseq", n.nextSeqno)
@@ -498,12 +522,7 @@ func (n *Node) AddFingerprint(f *ioa.Fingerprinter) {
 		writeLabelsFp(f, n.buffer)
 		f.End()
 	}
-	if len(n.safeLabels) > 0 {
-		ls := make([]types.Label, 0, len(n.safeLabels))
-		for l := range n.safeLabels {
-			ls = append(ls, l)
-		}
-		types.SortLabels(ls)
+	if ls := n.safeLabels.labels(); len(ls) > 0 {
 		f.Begin("safe")
 		f.Byte('=')
 		writeLabelsFp(f, ls)
@@ -589,13 +608,7 @@ func (n *Node) DelayLen() int { return len(n.delay) }
 // created itself; labels with origin p never leave content, so the count is
 // monotone along every execution path (bounded environments rely on this).
 func (n *Node) SelfLabeledCount() int {
-	c := 0
-	for l := range n.content {
-		if l.Origin == n.p {
-			c++
-		}
-	}
-	return c
+	return n.content.originCount(n.p)
 }
 
 // GotStateShared returns the recovery summaries received in the current

@@ -45,6 +45,49 @@ func (b Batch) MsgKey() string {
 	return string(buf)
 }
 
+// EqualMsg implements MsgEqualer.
+func (m ClientMsg) EqualMsg(o Msg) bool {
+	om, ok := o.(ClientMsg)
+	return ok && m == om
+}
+
+// EqualMsg implements MsgEqualer: o is a batch of pairwise equal members
+// in the same order. Unlike comparing MsgKey renderings this is exact:
+// the key of a member may contain the '|' that separates members.
+func (b Batch) EqualMsg(o Msg) bool {
+	ob, ok := o.(Batch)
+	if !ok || len(b.Msgs) != len(ob.Msgs) {
+		return false
+	}
+	for i, m := range b.Msgs {
+		if !SameMsg(m, ob.Msgs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// MsgEqualer is implemented by message types that compare structurally.
+type MsgEqualer interface {
+	Msg
+	// EqualMsg reports whether o has the receiver's dynamic type and an
+	// equal value.
+	EqualMsg(o Msg) bool
+}
+
+// SameMsg reports whether a and b are the same message, comparing values
+// structurally (recursing into batches) rather than rendering keys. A
+// message type without an EqualMsg method is compared by its MsgKey.
+func SameMsg(a, b Msg) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	if e, ok := a.(MsgEqualer); ok {
+		return e.EqualMsg(b)
+	}
+	return a.MsgKey() == b.MsgKey()
+}
+
 // ServiceMsg marks messages that are internal to a group-communication
 // layer (e.g. the "info" and "registered" messages of VS-TO-DVS) and hence
 // not members of M_c.

@@ -269,3 +269,44 @@ func TestProcSetGobRoundTrip(t *testing.T) {
 		t.Error("malformed encoding accepted")
 	}
 }
+
+func TestSameMsgIsStructural(t *testing.T) {
+	a, b := ClientMsg("a"), ClientMsg("b")
+	joined := Batch{Msgs: []Msg{ClientMsg("a|c:b")}}
+	pair := Batch{Msgs: []Msg{a, b}}
+	nested := Batch{Msgs: []Msg{Batch{Msgs: []Msg{a}}, b}}
+	x := Summary{Con: Content{{Seqno: 1}: "p"}, Ord: []Label{{Seqno: 1}}, Next: 2}
+	y := x.Clone()
+	y.Con[Label{Seqno: 2}] = "q"
+	for _, tc := range []struct {
+		name string
+		m, n Msg
+		same bool
+	}{
+		{"equal clients", a, ClientMsg("a"), true},
+		{"different clients", a, b, false},
+		{"equal batches", pair, Batch{Msgs: []Msg{a, b}}, true},
+		{"colliding keys", pair, joined, false},
+		{"nested vs flat", nested, pair, false},
+		{"batch vs client", Batch{Msgs: []Msg{a}}, a, false},
+		{"nil vs nil", nil, nil, true},
+		{"nil vs client", nil, a, false},
+	} {
+		if got := SameMsg(tc.m, tc.n); got != tc.same {
+			t.Errorf("%s: SameMsg = %v, want %v", tc.name, got, tc.same)
+		}
+		if tc.m != nil && tc.n != nil {
+			if got := SameMsg(tc.n, tc.m); got != tc.same {
+				t.Errorf("%s (swapped): SameMsg = %v, want %v", tc.name, got, tc.same)
+			}
+		}
+	}
+	if !x.Equal(x.Clone()) || x.Equal(y) {
+		t.Error("Summary.Equal must compare content relations")
+	}
+	z := x.Clone()
+	z.Next = 3
+	if x.Equal(z) {
+		t.Error("Summary.Equal must compare next-confirm indices")
+	}
+}

@@ -139,12 +139,17 @@ type Node struct {
 	// Sequencer / delivery state for the current view. members and leaderID
 	// cache the sorted membership of the installed view: the hot paths
 	// (ordering, acking, retransmission) would otherwise re-sort the member
-	// set on every message.
+	// set on every message. Only the unsafe window of the view's stream is
+	// kept: the leader's log holds seqs logBase+1.. (everything at or below
+	// safePoint has been acked by every member, and retransmission starts
+	// at acked[q]); delivered holds the messages delivered here whose safe
+	// indication is still owed, seqs nextSafe..nextDeliver-1.
 	view        types.View
 	hasView     bool
 	members     []types.ProcID
 	leaderID    types.ProcID
-	leaderLog   []Ordered // leader only: the ordered stream
+	leaderLog   []Ordered // leader only: the ordered stream above logBase
+	logBase     int       // leader: seqs trimmed off the front of leaderLog
 	acked       map[types.ProcID]int
 	safePoint   int // leader: last multicast safe point
 	buffer      map[int]Ordered
@@ -428,7 +433,8 @@ func (n *Node) retransmit() {
 		if q == n.self {
 			continue
 		}
-		from := n.acked[q]
+		// acked[q] ≥ safePoint ≥ logBase, so the unacked suffix is in the log.
+		from := n.acked[q] - n.logBase
 		if from < len(n.leaderLog) && n.tickCount-n.ackTick[q] >= stallTicks {
 			for s := from; s < len(n.leaderLog) && s < from+window; s++ {
 				o := n.leaderLog[s]
@@ -484,6 +490,7 @@ func (n *Node) installView(v types.View) {
 	n.members = n.view.Members.Sorted()
 	n.leaderID = n.members[0]
 	n.leaderLog = nil
+	n.logBase = 0
 	n.acked = make(map[types.ProcID]int, v.Members.Len())
 	n.safePoint = 0
 	n.buffer = make(map[int]Ordered)
@@ -573,7 +580,7 @@ func (n *Node) onData(from types.ProcID, m Data) {
 }
 
 func (n *Node) order(sender types.ProcID, payload any) {
-	o := Ordered{ViewID: n.view.ID, Seq: len(n.leaderLog) + 1, Sender: sender, SenderSeq: n.dataNext[sender], Payload: payload}
+	o := Ordered{ViewID: n.view.ID, Seq: n.logBase + len(n.leaderLog) + 1, Sender: sender, SenderSeq: n.dataNext[sender], Payload: payload}
 	n.leaderLog = append(n.leaderLog, o)
 	o.Safe = n.safePoint // stamped at send time; the log copy stays canonical
 	for _, q := range n.members {
@@ -660,6 +667,10 @@ func (n *Node) onAckLocal(from types.ProcID, m Ack) {
 	}
 	if safe > n.safePoint {
 		n.safePoint = safe
+		// The leader is a member, so safe ≤ acked[self], which is never
+		// past the ordered stream: the trim stays within the log.
+		n.leaderLog = trimFront(n.leaderLog, safe-n.logBase)
+		n.logBase = safe
 		sp := SafePoint{ViewID: n.view.ID, Seq: safe}
 		for _, q := range n.members {
 			if q == n.self {
@@ -682,13 +693,26 @@ func (n *Node) onSafePoint(m SafePoint) {
 }
 
 func (n *Node) emitSafe() {
-	for n.nextSafe <= n.safeUpTo && n.nextSafe <= len(n.delivered) {
-		o := n.delivered[n.nextSafe-1]
+	for n.nextSafe <= n.safeUpTo && len(n.delivered) > 0 {
+		o := n.delivered[0]
+		// Trim before the upcall: the handler may re-enter the loop.
+		n.delivered = trimFront(n.delivered, 1)
 		n.nextSafe++
 		if n.handler != nil {
 			n.handler.OnSafe(o.Payload, o.Sender)
 		}
 	}
+}
+
+// trimFront drops the first k entries of log, clearing them so the
+// backing array no longer holds their payloads. Appends reallocate once
+// the array's tail is used up, copying only the live window.
+func trimFront(log []Ordered, k int) []Ordered {
+	if k <= 0 {
+		return log
+	}
+	clear(log[:k])
+	return log[k:]
 }
 
 // Stopped returns a channel closed when the node is stopping; layers above
