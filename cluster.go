@@ -2,7 +2,6 @@ package dvs
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/dvsg"
@@ -16,12 +15,8 @@ import (
 // network. All processes run the full stack: membership, view-synchronous
 // ordering, the primary-view filter, and totally-ordered broadcast.
 type Cluster struct {
-	cfg      Config
-	universe types.ProcSet
-	initial  types.View
-	fabric   *netfab.Fabric
-	procs    map[ProcID]*Process
-	close    sync.Once
+	*memCluster
+	initial types.View
 }
 
 // Process is the application-facing handle of one cluster member: one
@@ -43,62 +38,39 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Online != nil && cfg.Mode != ModeDynamic {
 		return nil, errors.New("dvs: Config.Online requires ModeDynamic")
 	}
-	universe := types.RangeProcSet(cfg.Processes)
-	p0 := types.NewProcSet()
-	if len(cfg.Initial) == 0 {
-		p0 = universe.Clone()
-	} else {
-		for _, i := range cfg.Initial {
-			if i < 0 || i >= cfg.Processes {
-				return nil, fmt.Errorf("dvs: initial member %d out of range", i)
-			}
-			p0.Add(ProcID(i))
-		}
+	universe, p0, err := members(cfg.Processes, cfg.Initial)
+	if err != nil {
+		return nil, err
 	}
 	initial := types.InitialView(p0)
-
-	c := &Cluster{
-		cfg:      cfg,
-		universe: universe,
-		initial:  initial,
-		fabric:   netfab.NewFabric(universe, netfab.Config{Seed: cfg.Seed, LossRate: cfg.LossRate}),
-		procs:    make(map[ProcID]*Process, cfg.Processes),
+	mc, err := newMemCluster(procConfig{
+		universe:            universe,
+		p0:                  p0,
+		initial:             initial,
+		groups:              1,
+		mode:                cfg.Mode,
+		disableRegistration: cfg.DisableRegistration,
+		tick:                cfg.TickInterval,
+		suspect:             cfg.SuspectTimeout,
+		retry:               cfg.ProposeRetry,
+		record:              cfg.Record,
+		streams:             []*TraceStream{cfg.Stream},
+		online:              cfg.Online,
+	}, netfab.Config{Seed: cfg.Seed, LossRate: cfg.LossRate})
+	if err != nil {
+		return nil, err
 	}
-	for _, id := range universe.Sorted() {
-		st, err := buildStack(stackConfig{
-			self:                id,
-			universe:            universe,
-			p0:                  p0,
-			initial:             initial,
-			transport:           c.fabric,
-			mode:                cfg.Mode,
-			disableRegistration: cfg.DisableRegistration,
-			tick:                cfg.TickInterval,
-			suspect:             cfg.SuspectTimeout,
-			retry:               cfg.ProposeRetry,
-			record:              cfg.Record,
-			stream:              cfg.Stream,
-			online:              cfg.Online,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.procs[id] = &Process{id: id, stack: st}
-	}
-	for _, id := range universe.Sorted() {
-		c.procs[id].vsg.Start()
-	}
-	return c, nil
+	return &Cluster{memCluster: mc, initial: initial}, nil
 }
 
 // Process returns the handle of process i.
-func (c *Cluster) Process(i int) *Process { return c.procs[ProcID(i)] }
+func (c *Cluster) Process(i int) *Process { return c.procs[i].Process }
 
 // Processes returns all handles in id order.
 func (c *Cluster) Processes() []*Process {
-	out := make([]*Process, 0, len(c.procs))
-	for _, id := range c.universe.Sorted() {
-		out = append(out, c.procs[id])
+	out := make([]*Process, len(c.procs))
+	for i, p := range c.procs {
+		out[i] = p.Process
 	}
 	return out
 }
@@ -106,9 +78,50 @@ func (c *Cluster) Processes() []*Process {
 // InitialView returns v0.
 func (c *Cluster) InitialView() View { return c.initial.Clone() }
 
+// Close stops every process and disconnects the fabric. Close is
+// idempotent, so scenarios can close explicitly (to harvest trace logs at a
+// consistent cut) under a deferred Close.
+func (c *Cluster) Close() { c.close.Do(c.stop) }
+
+// TraceLogs returns the recorded per-node protocol traces, in process-id
+// order, or nil if the cluster was not built with Config.Record. It must be
+// called after Close: only then do the logs form the consistent cut the
+// conformance replayer's cross-node invariants require.
+func (c *Cluster) TraceLogs() []TraceLog { return c.traceLogs(0) }
+
+// memCluster is the in-memory runtime under Cluster and ShardedCluster:
+// one partitionable fabric and one assembled process per member.
+type memCluster struct {
+	fabric *netfab.Fabric
+	procs  []*ShardedProcess // indexed by process id
+	record bool
+	close  sync.Once
+}
+
+// newMemCluster builds a process for every member of pc.universe over a
+// new fabric and starts them all once every one is wired.
+func newMemCluster(pc procConfig, fc netfab.Config) (*memCluster, error) {
+	c := &memCluster{fabric: netfab.NewFabric(pc.universe, fc), record: pc.record}
+	pc.transport = c.fabric
+	for _, id := range pc.universe.Sorted() {
+		pc.self = id
+		p, err := buildProcess(pc)
+		if err != nil {
+			c.fabric.Close()
+			return nil, err
+		}
+		c.procs = append(c.procs, p)
+	}
+	for _, p := range c.procs {
+		p.start()
+	}
+	return c, nil
+}
+
 // Partition splits the network into the given components; unmentioned
-// processes form one extra component together.
-func (c *Cluster) Partition(groups ...[]int) {
+// processes form one extra component together. Faults are node-level:
+// every group of an isolated process is isolated.
+func (c *memCluster) Partition(groups ...[]int) {
 	conv := make([][]ProcID, len(groups))
 	for i, g := range groups {
 		conv[i] = make([]ProcID, len(g))
@@ -120,37 +133,35 @@ func (c *Cluster) Partition(groups ...[]int) {
 }
 
 // Heal reconnects the whole network.
-func (c *Cluster) Heal() { c.fabric.Heal() }
+func (c *memCluster) Heal() { c.fabric.Heal() }
 
-// Crash permanently disconnects process i (crash-stop).
-func (c *Cluster) Crash(i int) { c.fabric.Crash(ProcID(i)) }
+// Crash permanently disconnects process i (crash-stop, all groups).
+func (c *memCluster) Crash(i int) { c.fabric.Crash(ProcID(i)) }
 
 // NetStats returns the cumulative fabric counters.
-func (c *Cluster) NetStats() netfab.Stats { return c.fabric.Stats() }
+func (c *memCluster) NetStats() netfab.Stats { return c.fabric.Stats() }
 
-// Close stops every process and disconnects the fabric. Close is
-// idempotent, so scenarios can close explicitly (to harvest trace logs at a
-// consistent cut) under a deferred Close.
-func (c *Cluster) Close() {
-	c.close.Do(func() {
-		c.fabric.Close()
-		for _, p := range c.procs {
-			p.vsg.Stop()
-		}
-	})
+// stop disconnects the fabric and stops every process.
+func (c *memCluster) stop() {
+	c.fabric.Close()
+	for _, p := range c.procs {
+		p.stop()
+	}
 }
 
-// TraceLogs returns the recorded per-node protocol traces, in process-id
-// order, or nil if the cluster was not built with Config.Record. It must be
-// called after Close: only then do the logs form the consistent cut the
-// conformance replayer's cross-node invariants require.
-func (c *Cluster) TraceLogs() []TraceLog {
-	if !c.cfg.Record {
+// traceLogs returns group g's recorded protocol traces in process-id
+// order, or nil without recording or for an unknown group.
+func (c *memCluster) traceLogs(g types.GroupID) []TraceLog {
+	if !c.record {
 		return nil
 	}
 	out := make([]TraceLog, 0, len(c.procs))
-	for _, id := range c.universe.Sorted() {
-		out = append(out, c.procs[id].rec.Log())
+	for _, p := range c.procs {
+		log, ok := p.GroupTraceLog(g)
+		if !ok {
+			return nil
+		}
+		out = append(out, log)
 	}
 	return out
 }

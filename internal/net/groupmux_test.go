@@ -13,7 +13,7 @@ func newMuxPair(t *testing.T, groups int) (*Fabric, map[types.ProcID]*GroupMux) 
 	f := NewFabric(universe, Config{})
 	muxes := make(map[types.ProcID]*GroupMux, 2)
 	for p := range universe {
-		m := NewGroupMux(p, f, types.RangeGroups(groups), GroupMuxConfig{})
+		m := NewGroupMux(p, f, types.RangeGroups(groups))
 		if err := m.Start(); err != nil {
 			t.Fatalf("start mux %v: %v", p, err)
 		}

@@ -31,21 +31,19 @@ type Ring struct {
 	groups []types.GroupID
 }
 
-// NewRing builds the ring for the given groups with replicas points per
-// group (DefaultReplicas if replicas <= 0). The group list is canonicalized
-// so every process derives the identical ring.
-func NewRing(groups []types.GroupID, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+// NewRing builds the ring for the given groups with DefaultReplicas points
+// per group. The group list is canonicalized so every process derives the
+// identical ring. A single group owns every key, so its ring has no points.
+func NewRing(groups []types.GroupID) *Ring {
 	gs := types.DedupGroups(append([]types.GroupID(nil), groups...))
-	r := &Ring{
-		points: make([]point, 0, len(gs)*replicas),
-		groups: gs,
+	r := &Ring{groups: gs}
+	if len(gs) < 2 {
+		return r
 	}
+	r.points = make([]point, 0, len(gs)*DefaultReplicas)
 	for _, g := range gs {
 		base := "g" + strconv.Itoa(int(g)) + "#"
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < DefaultReplicas; i++ {
 			r.points = append(r.points, point{h: hash64(base + strconv.Itoa(i)), g: g})
 		}
 	}
@@ -65,9 +63,13 @@ func NewRing(groups []types.GroupID, replicas int) *Ring {
 func (r *Ring) Groups() []types.GroupID { return r.groups }
 
 // Group routes a key: the group owning the first ring point at or after
-// the key's hash, wrapping at the top of the circle.
+// the key's hash, wrapping at the top of the circle. A ring without points
+// routes every key to its one group, or to group 0 if it has none.
 func (r *Ring) Group(key string) types.GroupID {
 	if len(r.points) == 0 {
+		if len(r.groups) == 1 {
+			return r.groups[0]
+		}
 		return 0
 	}
 	h := hash64(key)

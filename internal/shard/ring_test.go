@@ -11,8 +11,8 @@ import (
 // every key — the property that lets every node route without
 // coordination.
 func TestRoutingDeterministic(t *testing.T) {
-	a := NewRing(types.RangeGroups(4), 0)
-	b := NewRing([]types.GroupID{3, 1, 2, 0, 2}, 0) // unsorted, duplicated
+	a := NewRing(types.RangeGroups(4))
+	b := NewRing([]types.GroupID{3, 1, 2, 0, 2}) // unsorted, duplicated
 	for i := 0; i < 1000; i++ {
 		k := "key-" + strconv.Itoa(i)
 		if a.Group(k) != b.Group(k) {
@@ -26,7 +26,7 @@ func TestRoutingDeterministic(t *testing.T) {
 func TestRoutingBalance(t *testing.T) {
 	const keys = 20000
 	for _, n := range []int{2, 4, 8} {
-		r := NewRing(types.RangeGroups(n), 0)
+		r := NewRing(types.RangeGroups(n))
 		counts := make(map[types.GroupID]int)
 		for i := 0; i < keys; i++ {
 			counts[r.Group("user:"+strconv.Itoa(i))]++
@@ -48,8 +48,8 @@ func TestRoutingBalance(t *testing.T) {
 // to the new group (no shuffling between surviving groups).
 func TestReshardStability(t *testing.T) {
 	const keys = 10000
-	before := NewRing(types.RangeGroups(4), 0)
-	after := NewRing(types.RangeGroups(5), 0)
+	before := NewRing(types.RangeGroups(4))
+	after := NewRing(types.RangeGroups(5))
 	moved := 0
 	for i := 0; i < keys; i++ {
 		k := "item/" + strconv.Itoa(i)
@@ -69,8 +69,22 @@ func TestReshardStability(t *testing.T) {
 // TestEmptyRing checks the degenerate ring routes everything to group 0
 // rather than panicking.
 func TestEmptyRing(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if g := r.Group("x"); g != 0 {
 		t.Fatalf("empty ring routed to %v", g)
+	}
+}
+
+// TestSingleGroupRingHasNoPoints checks that a one-group ring routes every
+// key to its group without building any points.
+func TestSingleGroupRingHasNoPoints(t *testing.T) {
+	r := NewRing([]types.GroupID{3})
+	if len(r.points) != 0 {
+		t.Fatalf("one-group ring built %d points", len(r.points))
+	}
+	for i := 0; i < 100; i++ {
+		if g := r.Group("k" + strconv.Itoa(i)); g != 3 {
+			t.Fatalf("one-group ring routed to %v", g)
+		}
 	}
 }

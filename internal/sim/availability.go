@@ -132,7 +132,7 @@ func Availability(cfg AvailabilityConfig) (AvailabilityResult, error) {
 	}
 	res.FinalAvailable = available(cl, active, primaries)
 	res.PrimariesSeen = len(primaries)
-	res.Run = captureRunStats(cl)
+	res.Run = captureRunStats(cl.NetStats(), cl.Processes())
 	res.Trace = harvestTrace(cl, cfg.Record)
 	return res, nil
 }

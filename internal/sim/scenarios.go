@@ -99,7 +99,7 @@ func PartitionCascade(cfg CascadeConfig) (CascadeResult, error) {
 	err = CheckPrimaryChain(res.Primaries)
 	res.ChainOK = err == nil
 	sortViews(res.Primaries)
-	res.Run = captureRunStats(cl)
+	res.Run = captureRunStats(cl.NetStats(), cl.Processes())
 	res.Trace = harvestTrace(cl, cfg.Record)
 	return res, err
 }
@@ -207,7 +207,7 @@ func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	res.Elapsed = time.Since(start)
 	res.Delivered = len(delivered[0])
 	res.Consistent = CheckDeliverySequences(delivered) == nil
-	res.Run = captureRunStats(cl)
+	res.Run = captureRunStats(cl.NetStats(), cl.Processes())
 	res.Trace = harvestTrace(cl, cfg.Record)
 	if cfg.Online != nil {
 		for _, p := range cl.Processes() {
@@ -331,7 +331,7 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 		return res, fmt.Errorf("recovery: post-heal message not delivered within %v", cfg.Timeout)
 	}
 	res.ExtraMessages = cl.NetStats().Delivered - before.Delivered
-	res.Run = captureRunStats(cl)
+	res.Run = captureRunStats(cl.NetStats(), cl.Processes())
 	res.Trace = harvestTrace(cl, cfg.Record)
 	if err := CheckDeliverySequences(delivered); err != nil {
 		res.ConsistencyErr = err.Error()
@@ -433,7 +433,7 @@ func RegisterAblation(cfg AblationConfig) (AblationResult, error) {
 			res.MaxAmbiguous = ds.MaxAmb
 		}
 	}
-	res.Run = captureRunStats(cl)
+	res.Run = captureRunStats(cl.NetStats(), cl.Processes())
 	res.Trace = harvestTrace(cl, cfg.Record)
 	return res, nil
 }

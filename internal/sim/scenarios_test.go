@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -69,5 +70,29 @@ func TestRegisterAblation(t *testing.T) {
 	}
 	if without.MaxAmbiguous < with.MaxAmbiguous {
 		t.Errorf("ambiguity should not shrink when registration is disabled: with=%d without=%d", with.MaxAmbiguous, without.MaxAmbiguous)
+	}
+}
+
+func TestSharded(t *testing.T) {
+	for _, groups := range []int{1, 3} {
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			res, err := Sharded(ShardedConfig{Processes: 3, Groups: groups, Duration: 200 * time.Millisecond, CrossFrac: 0.1, Seed: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Log(res)
+			if !res.Consistent {
+				t.Error("sharded delivery inconsistent")
+			}
+			if res.Keyed == 0 || res.Delivered == 0 {
+				t.Errorf("no keyed traffic delivered: %s", res)
+			}
+			if groups == 1 && res.Multis != 0 {
+				t.Errorf("one group sent %d cross-group multicasts", res.Multis)
+			}
+			if groups > 1 && res.Multis == 0 {
+				t.Error("no cross-group multicast sent")
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	dvs "repro"
+	"repro/internal/protocol/mcastcore"
 	"repro/internal/types"
 )
 
@@ -46,14 +47,14 @@ func (c *ShardedConfig) fill() {
 type ShardedResult struct {
 	Processes int
 	Groups    int
-	CrossFrac float64
-	Keyed     int // accepted keyed submissions
-	Multis    int // submitted cross-group multicasts
-	Delivered int // deliveries observed at process 0, summed over groups
+	CrossFrac float64 // as sent: 0 with one group, since a multicast needs two
+	Keyed     int     // accepted keyed submissions
+	Multis    int     // submitted cross-group multicasts
+	Delivered int     // deliveries observed at process 0, summed over groups
 	Elapsed   time.Duration
-	// Consistent is true when every group's delivery streams agree, every
-	// process's multicast histories agree per group, and the cross-group
-	// partial order holds.
+	// Consistent is true when every group's delivery streams agree and
+	// every process's every multicast history passes the multicast safety
+	// suite (mcastcore.CheckAll).
 	Consistent bool
 	Run        RunStats
 }
@@ -77,9 +78,13 @@ func (r ShardedResult) String() string {
 // submissions route by consistent hash and execute on independent
 // per-group stacks — aggregate throughput should scale with the group
 // count (E14) — while the cross-group fraction exercises the atomic
-// multicast, whose two-group messages pin the shared order.
+// multicast, whose two-group messages pin the shared order. With one group
+// the traffic is keyed only.
 func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 	cfg.fill()
+	if cfg.Groups < 2 {
+		cfg.CrossFrac = 0
+	}
 	cl, err := dvs.NewShardedCluster(dvs.ShardedConfig{
 		Processes: cfg.Processes, Groups: cfg.Groups, Seed: cfg.Seed,
 		Record: cfg.StreamDir != "", StreamDir: cfg.StreamDir,
@@ -94,6 +99,7 @@ func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 	res := ShardedResult{Processes: cfg.Processes, Groups: cfg.Groups, CrossFrac: cfg.CrossFrac}
 	streams := make(map[types.GroupID][][]dvs.Delivery, len(groups))
 	handles := make(map[types.GroupID][]*dvs.Process, len(groups))
+	var all []*dvs.Process
 	for _, g := range groups {
 		streams[g] = make([][]dvs.Delivery, cfg.Processes)
 		handles[g] = make([]*dvs.Process, cfg.Processes)
@@ -103,6 +109,7 @@ func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 				return res, fmt.Errorf("process %d missing group %s", i, g)
 			}
 			handles[g][i] = h
+			all = append(all, h)
 		}
 	}
 	drainAll := func() int {
@@ -121,7 +128,7 @@ func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 	// The pump interleaves keyed submissions with cross-group multicasts at
 	// the configured fraction, windowed on outstanding traffic so a slow
 	// group applies backpressure instead of flooding its inbox.
-	expectMulti := make(map[types.GroupID]int, len(groups))
+	expectMulti := 0 // multicast deliveries due at process 0, over all groups
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
 	const window = 256
@@ -141,9 +148,7 @@ func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 				return res, fmt.Errorf("multicast submit: %w", err)
 			}
 			res.Multis++
-			for _, g := range dests {
-				expectMulti[g]++
-			}
+			expectMulti += len(dests)
 		} else if sender.Submit("key-"+strconv.Itoa(i), "m"+strconv.Itoa(i)) {
 			res.Keyed++
 		}
@@ -151,10 +156,7 @@ func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 	}
 	// Allow in-flight traffic to finish: process 0's streams must reach the
 	// accepted totals (every keyed submit plus each group's multicasts).
-	want := res.Keyed + expectMulti[groups[0]]
-	for _, g := range groups[1:] {
-		want += expectMulti[g]
-	}
+	want := res.Keyed + expectMulti
 	flushDeadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(flushDeadline) {
 		if drainAll() >= want {
@@ -165,79 +167,23 @@ func Sharded(cfg ShardedConfig) (ShardedResult, error) {
 	res.Elapsed = time.Since(start)
 	res.Delivered = drainAll()
 
-	// Safety: per-group total order, multicast agreement, and the
-	// cross-group partial order over process 0's histories versus all.
+	// Safety: per-group total order, then the multicast suite over every
+	// process's every group history.
 	res.Consistent = true
 	for _, g := range groups {
 		if err := CheckDeliverySequences(streams[g]); err != nil {
 			res.Consistent = false
 		}
 	}
-	ref := make(map[types.GroupID][]dvs.McastDelivery, len(groups))
-	for _, g := range groups {
-		ref[g] = cl.Process(0).McastDelivered(g)
-		for i := 1; i < cfg.Processes && res.Consistent; i++ {
-			if !mcastPrefix(ref[g], cl.Process(i).McastDelivered(g)) {
-				res.Consistent = false
-			}
+	var hist []mcastcore.DeliverySeq
+	for _, sp := range cl.Processes() {
+		for _, g := range groups {
+			hist = append(hist, mcastcore.DeliverySeq{P: sp.ID(), G: g, Deliveries: sp.McastDelivered(g)})
 		}
 	}
-	if !crossOrderOK(ref, groups) {
+	if err := mcastcore.CheckAll(hist); err != nil {
 		res.Consistent = false
 	}
-
-	res.Run = RunStats{Net: cl.NetStats()}
-	var samples uint64
-	var total time.Duration
-	for _, g := range groups {
-		for i := 0; i < cfg.Processes; i++ {
-			vs := handles[g][i].VSStats()
-			res.Run.Views += vs.ViewsInstalled
-			res.Run.Retransmits += vs.Retransmits
-			samples += vs.LatencySamples
-			total += vs.LatencyTotal
-		}
-	}
-	if samples > 0 {
-		res.Run.AvgLatency = total / time.Duration(samples)
-	}
+	res.Run = captureRunStats(cl.NetStats(), all)
 	return res, nil
-}
-
-// mcastPrefix reports whether one multicast history is a prefix of the
-// other (live harvests race delivery, so equality is too strong).
-func mcastPrefix(a, b []dvs.McastDelivery) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// crossOrderOK checks the cross-group partial order over one process's
-// histories: any two groups sharing two multicasts order them identically.
-func crossOrderOK(hist map[types.GroupID][]dvs.McastDelivery, groups []types.GroupID) bool {
-	for i, g := range groups {
-		for _, h := range groups[i+1:] {
-			pos := make(map[string]int, len(hist[g]))
-			for k, d := range hist[g] {
-				pos[d.ID] = k
-			}
-			last := -1
-			for _, d := range hist[h] {
-				if p, ok := pos[d.ID]; ok {
-					if p < last {
-						return false
-					}
-					last = p
-				}
-			}
-		}
-	}
-	return true
 }

@@ -42,13 +42,14 @@ func harvestTrace(cl *dvs.Cluster, record bool) []dvs.TraceLog {
 	return cl.TraceLogs()
 }
 
-// captureRunStats snapshots the cluster's counters; scenarios call it just
-// before returning (while the cluster is still open).
-func captureRunStats(cl *dvs.Cluster) RunStats {
-	rs := RunStats{Net: cl.NetStats()}
+// captureRunStats sums the given fabric counters and the vsg counters of
+// the given stacks; scenarios call it just before returning (while the
+// cluster is still open).
+func captureRunStats(net netfab.Stats, procs []*dvs.Process) RunStats {
+	rs := RunStats{Net: net}
 	var samples uint64
 	var total time.Duration
-	for _, p := range cl.Processes() {
+	for _, p := range procs {
 		vs := p.VSStats()
 		rs.Views += vs.ViewsInstalled
 		rs.Retransmits += vs.Retransmits

@@ -3,7 +3,6 @@ package dvs
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/conform"
@@ -69,18 +68,15 @@ type ShardedConfig struct {
 	TickInterval   time.Duration
 	SuspectTimeout time.Duration
 	ProposeRetry   time.Duration
-	// RingReplicas is the number of consistent-hash points per group on
-	// the submit router (0 = shard.DefaultReplicas).
-	RingReplicas int
 	// Record enables in-memory trace recording: per-(process, group)
 	// protocol logs (TraceLogs) and per-process multicast logs
 	// (McastLogs), both harvested after Close.
 	Record bool
 	// StreamDir, when non-empty, spills every group's macro-steps into a
 	// sharded trace directory: one chunked stream per group under
-	// group-NN/ subdirectories. Close seals the streams and (with Record)
-	// writes the multicast logs alongside; check the directory with
-	// ReplayShardedTrace.
+	// group-NN/ subdirectories. Close seals the streams and (with Record
+	// and two or more groups) writes the multicast logs alongside; check
+	// the directory with ReplayShardedTrace.
 	StreamDir string
 }
 
@@ -88,30 +84,26 @@ type ShardedConfig struct {
 // partitionable in-memory network: every process runs one stack per group,
 // all multiplexed over its single fabric endpoint by a group tag. Keyed
 // client traffic routes to groups by consistent hash; multi-group traffic
-// goes through the cross-group atomic multicast.
+// goes through the cross-group atomic multicast. With one group every
+// process is wired exactly like a Cluster's.
 type ShardedCluster struct {
+	*memCluster
 	cfg      ShardedConfig
-	universe types.ProcSet
-	groups   []types.GroupID
-	initial  types.View
-	fabric   *netfab.Fabric
-	ring     *shard.Ring
-	procs    map[ProcID]*ShardedProcess
-	streams  map[types.GroupID]*TraceStream
-	close    sync.Once
+	streams  []*TraceStream // indexed by group; nil without StreamDir
 	closeErr error
 }
 
-// ShardedProcess is the application-facing handle of one process of a
-// sharded cluster: its per-group stacks, its group multiplexer, and its
+// ShardedProcess is the all-groups handle of one process: its per-group
+// handles (group 0's embedded, so a one-group process reads like a
+// Process) and, with two or more groups, its group multiplexer and
 // multicast coordinator.
 type ShardedProcess struct {
-	id     ProcID
-	mux    *netfab.GroupMux
-	stacks map[types.GroupID]*stack
-	ring   *shard.Ring
-	mc     *mcast.Coordinator
-	mrec   *conform.McastRecorder // nil unless Record
+	*Process                        // group 0
+	byGroup  []*Process             // indexed by group id
+	ring     *shard.Ring            // without points at one group
+	mux      *netfab.GroupMux       // nil at one group
+	mc       *mcast.Coordinator     // nil at one group
+	mrec     *conform.McastRecorder // nil unless recording with a coordinator
 }
 
 // NewShardedCluster builds and starts a sharded cluster.
@@ -126,145 +118,72 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		cfg.Mode = ModeDynamic
 	}
 	universe := types.RangeProcSet(cfg.Processes)
-	groups := types.RangeGroups(cfg.Groups)
-	initial := types.InitialView(universe)
-
-	c := &ShardedCluster{
-		cfg:      cfg,
-		universe: universe,
-		groups:   groups,
-		initial:  initial,
-		fabric:   netfab.NewFabric(universe, netfab.Config{Seed: cfg.Seed, LossRate: cfg.LossRate}),
-		ring:     shard.NewRing(groups, cfg.RingReplicas),
-		procs:    make(map[ProcID]*ShardedProcess, cfg.Processes),
+	c := &ShardedCluster{cfg: cfg}
+	// abort releases the streams opened so far: each holds files and a
+	// writer goroutine.
+	abort := func(err error) (*ShardedCluster, error) {
+		for _, sr := range c.streams {
+			sr.Close()
+		}
+		return nil, err
 	}
 	if cfg.StreamDir != "" {
-		c.streams = make(map[types.GroupID]*TraceStream, cfg.Groups)
-		for _, g := range groups {
+		for _, g := range types.RangeGroups(cfg.Groups) {
 			sr, err := NewTraceStream(conform.GroupDir(cfg.StreamDir, g), TraceStreamOptions{})
 			if err != nil {
-				return nil, fmt.Errorf("dvs: creating group %s trace stream: %w", g, err)
+				return abort(fmt.Errorf("dvs: creating group %s trace stream: %w", g, err))
 			}
-			c.streams[g] = sr
+			c.streams = append(c.streams, sr)
 		}
 	}
-
-	for _, id := range universe.Sorted() {
-		sp := &ShardedProcess{
-			id:     id,
-			mux:    netfab.NewGroupMux(id, c.fabric, groups, netfab.GroupMuxConfig{}),
-			stacks: make(map[types.GroupID]*stack, cfg.Groups),
-			ring:   c.ring,
-		}
-		ports := make([]mcast.GroupPort, 0, cfg.Groups)
-		for _, g := range groups {
-			st, err := buildStack(stackConfig{
-				self:                id,
-				group:               g,
-				universe:            universe,
-				p0:                  universe,
-				initial:             initial,
-				transport:           sp.mux.Group(g),
-				mode:                cfg.Mode,
-				disableRegistration: cfg.DisableRegistration,
-				tick:                cfg.TickInterval,
-				suspect:             cfg.SuspectTimeout,
-				retry:               cfg.ProposeRetry,
-				record:              cfg.Record,
-				stream:              c.streams[g],
-			})
-			if err != nil {
-				return nil, err
-			}
-			sp.stacks[g] = st
-			ports = append(ports, mcast.GroupPort{G: g, TOB: st.tob, Run: st.vsg.Do})
-		}
-		sp.mc = mcast.New(id, ports)
-		if cfg.Record {
-			sp.mrec = conform.NewMcastRecorder(id, groups)
-			sp.mc.AddObserver(sp.mrec.Observe)
-		}
-		for _, g := range groups {
-			sp.stacks[g].tob.SetDeliverHook(sp.mc.Hook(g))
-		}
-		c.procs[id] = sp
-	}
-	for _, id := range universe.Sorted() {
-		sp := c.procs[id]
-		sp.mux.Start()
-		for _, g := range groups {
-			sp.stacks[g].vsg.Start()
-		}
-		sp.mc.Start()
+	var err error
+	c.memCluster, err = newMemCluster(procConfig{
+		universe:            universe,
+		p0:                  universe,
+		initial:             types.InitialView(universe),
+		groups:              cfg.Groups,
+		mode:                cfg.Mode,
+		disableRegistration: cfg.DisableRegistration,
+		tick:                cfg.TickInterval,
+		suspect:             cfg.SuspectTimeout,
+		retry:               cfg.ProposeRetry,
+		record:              cfg.Record,
+		streams:             c.streams,
+	}, netfab.Config{Seed: cfg.Seed, LossRate: cfg.LossRate})
+	if err != nil {
+		return abort(err)
 	}
 	return c, nil
 }
 
 // Process returns the handle of process i.
-func (c *ShardedCluster) Process(i int) *ShardedProcess { return c.procs[ProcID(i)] }
+func (c *ShardedCluster) Process(i int) *ShardedProcess { return c.procs[i] }
 
 // Processes returns all handles in id order.
 func (c *ShardedCluster) Processes() []*ShardedProcess {
-	out := make([]*ShardedProcess, 0, len(c.procs))
-	for _, id := range c.universe.Sorted() {
-		out = append(out, c.procs[id])
-	}
-	return out
+	return append([]*ShardedProcess(nil), c.procs...)
 }
 
 // Groups returns the cluster's group ids (sorted).
-func (c *ShardedCluster) Groups() []types.GroupID {
-	return append([]types.GroupID(nil), c.groups...)
-}
+func (c *ShardedCluster) Groups() []types.GroupID { return types.RangeGroups(c.cfg.Groups) }
 
-// Ring returns the cluster's key→group router.
-func (c *ShardedCluster) Ring() *shard.Ring { return c.ring }
-
-// Partition splits the network into the given components; unmentioned
-// processes form one extra component together. Faults are node-level:
-// every group of an isolated process is isolated.
-func (c *ShardedCluster) Partition(groups ...[]int) {
-	conv := make([][]ProcID, len(groups))
-	for i, g := range groups {
-		conv[i] = make([]ProcID, len(g))
-		for j, p := range g {
-			conv[i][j] = ProcID(p)
-		}
-	}
-	c.fabric.Partition(conv...)
-}
-
-// Heal reconnects the whole network.
-func (c *ShardedCluster) Heal() { c.fabric.Heal() }
-
-// Crash permanently disconnects process i (crash-stop, all groups).
-func (c *ShardedCluster) Crash(i int) { c.fabric.Crash(ProcID(i)) }
-
-// NetStats returns the cumulative fabric counters.
-func (c *ShardedCluster) NetStats() netfab.Stats { return c.fabric.Stats() }
+// Ring returns the cluster's key→group router (every process builds the
+// same one).
+func (c *ShardedCluster) Ring() *shard.Ring { return c.procs[0].ring }
 
 // Close stops every process's every stack, seals any sharded trace, and
 // disconnects the fabric. Idempotent; returns the first trace-sealing
 // error.
 func (c *ShardedCluster) Close() error {
 	c.close.Do(func() {
-		c.fabric.Close()
-		for _, sp := range c.procs {
-			sp.mc.Stop()
-			for _, g := range c.groups {
-				sp.stacks[g].vsg.Stop()
-			}
-			sp.mux.Stop()
-		}
-		for _, g := range c.groups {
-			if sr, ok := c.streams[g]; ok {
-				if err := sr.Close(); err != nil && c.closeErr == nil {
-					c.closeErr = fmt.Errorf("dvs: sealing group %s trace: %w", g, err)
-				}
+		c.stop()
+		for g, sr := range c.streams {
+			if err := sr.Close(); err != nil && c.closeErr == nil {
+				c.closeErr = fmt.Errorf("dvs: sealing group %d trace: %w", g, err)
 			}
 		}
-		if c.cfg.StreamDir != "" && c.cfg.Record {
-			if err := conform.WriteMcastLogs(c.cfg.StreamDir, c.mcastLogs()); err != nil && c.closeErr == nil {
+		if c.cfg.StreamDir != "" && c.cfg.Record && c.cfg.Groups > 1 {
+			if err := conform.WriteMcastLogs(c.cfg.StreamDir, c.McastLogs()); err != nil && c.closeErr == nil {
 				c.closeErr = fmt.Errorf("dvs: writing multicast logs: %w", err)
 			}
 		}
@@ -275,59 +194,41 @@ func (c *ShardedCluster) Close() error {
 // TraceLogs returns the recorded protocol traces of group g, in process-id
 // order, or nil without Record. Must be called after Close; each group's
 // logs form their own consistent cut and replay as an independent set.
-func (c *ShardedCluster) TraceLogs(g types.GroupID) []TraceLog {
-	if !c.cfg.Record {
-		return nil
-	}
-	out := make([]TraceLog, 0, len(c.procs))
-	for _, id := range c.universe.Sorted() {
-		st, ok := c.procs[id].stacks[g]
+func (c *ShardedCluster) TraceLogs(g types.GroupID) []TraceLog { return c.traceLogs(g) }
+
+// McastLogs returns the recorded multicast traces, in process-id order, or
+// nil without Record or with one group (no multicast runs). Must be called
+// after Close; check with conform.ReplayMcast (cross-group partial order,
+// per-group agreement, timestamp order, no duplicates).
+func (c *ShardedCluster) McastLogs() []conform.McastLog {
+	out := make([]conform.McastLog, 0, len(c.procs))
+	for _, p := range c.procs {
+		log, ok := p.McastLog()
 		if !ok {
 			return nil
 		}
-		out = append(out, st.rec.Log())
+		out = append(out, log)
 	}
 	return out
 }
 
-// McastLogs returns the recorded multicast traces, in process-id order, or
-// nil without Record. Must be called after Close; check with
-// conform.ReplayMcast (cross-group partial order, per-group agreement,
-// timestamp order, no duplicates).
-func (c *ShardedCluster) McastLogs() []conform.McastLog {
-	if !c.cfg.Record {
-		return nil
-	}
-	return c.mcastLogs()
-}
-
-func (c *ShardedCluster) mcastLogs() []conform.McastLog {
-	out := make([]conform.McastLog, 0, len(c.procs))
-	for _, id := range c.universe.Sorted() {
-		out = append(out, c.procs[id].mrec.Log())
-	}
-	return out
-}
-
-// ID returns the process id.
-func (p *ShardedProcess) ID() ProcID { return p.id }
+// Groups returns the process's group ids (sorted).
+func (p *ShardedProcess) Groups() []types.GroupID { return types.RangeGroups(len(p.byGroup)) }
 
 // Group returns the per-group handle of group g — the same API a
 // single-group cluster's Process offers (Broadcast, Deliveries, Views,
 // CurrentPrimary, Established, Stats...).
 func (p *ShardedProcess) Group(g types.GroupID) (*Process, bool) {
-	st, ok := p.stacks[g]
-	if !ok {
+	if g < 0 || int(g) >= len(p.byGroup) {
 		return nil, false
 	}
-	return &Process{id: p.id, stack: st}, true
+	return p.byGroup[g], true
 }
 
 // Submit routes a keyed payload to its group by consistent hash and
 // broadcasts it there, reporting false if that group's stack has stopped.
 func (p *ShardedProcess) Submit(key, payload string) bool {
-	st := p.stacks[p.ring.Group(key)]
-	return st.vsg.Do(func() { st.tob.Broadcast(payload) })
+	return p.byGroup[p.ring.Group(key)].Broadcast(payload)
 }
 
 // SubmitKey returns the group a key routes to.
@@ -335,20 +236,61 @@ func (p *ShardedProcess) SubmitKey(key string) types.GroupID { return p.ring.Gro
 
 // SubmitMulti atomically multicasts a payload to the destination groups:
 // every addressed group delivers it, and any two groups sharing two
-// multicasts deliver them in the same relative order.
+// multicasts deliver them in the same relative order. It needs two or more
+// groups.
 func (p *ShardedProcess) SubmitMulti(dests []types.GroupID, payload string) error {
+	if p.mc == nil {
+		return errors.New("dvs: SubmitMulti requires two or more groups")
+	}
 	return p.mc.Submit(dests, payload)
 }
 
 // McastDelivered returns a copy of group g's multicast delivery history at
-// this process, in delivery order.
+// this process, in delivery order (nil at one group).
 func (p *ShardedProcess) McastDelivered(g types.GroupID) []McastDelivery {
+	if p.mc == nil {
+		return nil
+	}
 	return p.mc.Delivered(g)
 }
 
-// McastStats returns the multicast coordinator's counters.
-func (p *ShardedProcess) McastStats() mcast.Stats { return p.mc.Stats() }
+// McastStats returns the multicast coordinator's counters (zero at one
+// group).
+func (p *ShardedProcess) McastStats() mcast.Stats {
+	if p.mc == nil {
+		return mcast.Stats{}
+	}
+	return p.mc.Stats()
+}
 
 // MuxDropped returns the process's group-multiplexer drop counter
-// (untagged frames, unknown groups, overflowed group inboxes).
-func (p *ShardedProcess) MuxDropped() uint64 { return p.mux.Dropped() }
+// (untagged frames, unknown groups, overflowed group inboxes; zero at one
+// group).
+func (p *ShardedProcess) MuxDropped() uint64 {
+	if p.mux == nil {
+		return 0
+	}
+	return p.mux.Dropped()
+}
+
+// McastLog returns this process's recorded multicast trace, and whether
+// one was recorded (two or more groups, with recording on). Harvest after
+// Close and check with conform.ReplayMcast together with the other
+// processes' logs.
+func (p *ShardedProcess) McastLog() (conform.McastLog, bool) {
+	if p.mrec == nil {
+		return conform.McastLog{}, false
+	}
+	return p.mrec.Log(), true
+}
+
+// GroupTraceLog returns group g's recorded protocol trace, and whether it
+// was recorded. Each group's logs replay as their own set: the trace of
+// one group is one run of the single-group protocol. Harvest after Close.
+func (p *ShardedProcess) GroupTraceLog(g types.GroupID) (TraceLog, bool) {
+	h, ok := p.Group(g)
+	if !ok || h.rec == nil {
+		return TraceLog{}, false
+	}
+	return h.rec.Log(), true
+}

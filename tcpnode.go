@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/conform"
 	"repro/internal/core"
 	"repro/internal/dvsg"
-	"repro/internal/mcast"
 	"repro/internal/member"
 	netfab "repro/internal/net"
-	"repro/internal/shard"
 	"repro/internal/tob"
 	"repro/internal/toimpl"
 	"repro/internal/types"
@@ -102,25 +99,14 @@ type NodeStats struct {
 	Check OnlineCheckStats // zero unless NodeConfig.Online
 }
 
-// Node is one standalone process of a TCP-connected deployment. In
-// single-group mode (Groups <= 1) the embedded stack is the node's whole
-// protocol state and the historical API is unchanged. In sharded mode the
-// node runs one stack per group behind a group multiplexer; the embedded
-// stack is group 0's, so the single-group accessors keep working and read
-// that group, while Group, Submit and SubmitMulti expose the rest.
+// Node is one standalone process of a TCP-connected deployment: the
+// all-groups handle of its process plus the TCP transport it runs on. With
+// one group the embedded group-0 stack is the node's whole protocol state;
+// with more, Group, Submit and SubmitMulti reach the rest.
 type Node struct {
-	id        ProcID
+	*ShardedProcess
 	tcp       *netfab.TCPTransport
 	transport netfab.Transport // tcp, possibly wrapped (see WrapTransport)
-	*stack                     // group 0's stack
-
-	// Sharded mode only (nil/empty in single-group mode).
-	mux    *netfab.GroupMux
-	groups []types.GroupID
-	stacks map[types.GroupID]*stack
-	ring   *shard.Ring
-	mc     *mcast.Coordinator
-	mrec   *conform.McastRecorder // nil unless NodeConfig.Record
 }
 
 // StartNode launches a standalone process.
@@ -151,21 +137,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	registerWireTypes()
 
-	universe := types.RangeProcSet(cfg.Processes)
-	p0 := types.NewProcSet()
-	if len(cfg.Initial) == 0 {
-		p0 = universe.Clone()
-	} else {
-		for _, i := range cfg.Initial {
-			if i < 0 || i >= cfg.Processes {
-				return nil, fmt.Errorf("dvs: initial member %d out of range", i)
-			}
-			p0.Add(ProcID(i))
-		}
+	universe, p0, err := members(cfg.Processes, cfg.Initial)
+	if err != nil {
+		return nil, err
 	}
-	initial := types.InitialView(p0)
 	self := ProcID(cfg.ID)
-
 	peers := make(map[types.ProcID]string, len(cfg.Peers))
 	for id, addr := range cfg.Peers {
 		peers[ProcID(id)] = addr
@@ -183,145 +159,29 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		transport = cfg.WrapTransport(tcp)
 	}
 
-	n := &Node{id: self, tcp: tcp, transport: transport}
-	sc := stackConfig{
+	p, err := buildProcess(procConfig{
 		self:                self,
 		universe:            universe,
 		p0:                  p0,
-		initial:             initial,
+		initial:             types.InitialView(p0),
 		transport:           transport,
+		groups:              cfg.Groups,
 		mode:                cfg.Mode,
 		disableRegistration: cfg.DisableRegistration,
 		tick:                cfg.TickInterval,
 		suspect:             cfg.SuspectTimeout,
 		retry:               cfg.ProposeRetry,
 		record:              cfg.Record,
-		stream:              cfg.Stream,
+		streams:             []*TraceStream{cfg.Stream},
 		online:              cfg.Online,
+	})
+	if err != nil {
+		tcp.Close()
+		return nil, err
 	}
-
-	if cfg.Groups == 1 {
-		st, err := buildStack(sc)
-		if err != nil {
-			tcp.Close()
-			return nil, err
-		}
-		n.stack = st
-		st.vsg.Start()
-		return n, nil
-	}
-
-	// Sharded mode: one stack per group over the shared transport, a
-	// consistent-hash ring on the submit path, and the cross-group atomic
-	// multicast coordinator hooked into every group's delivery stream.
-	n.groups = types.RangeGroups(cfg.Groups)
-	n.mux = netfab.NewGroupMux(self, transport, n.groups, netfab.GroupMuxConfig{})
-	n.stacks = make(map[types.GroupID]*stack, cfg.Groups)
-	n.ring = shard.NewRing(n.groups, 0)
-	ports := make([]mcast.GroupPort, 0, cfg.Groups)
-	for _, g := range n.groups {
-		sc.group = g
-		sc.transport = n.mux.Group(g)
-		st, err := buildStack(sc)
-		if err != nil {
-			tcp.Close()
-			return nil, err
-		}
-		n.stacks[g] = st
-		ports = append(ports, mcast.GroupPort{G: g, TOB: st.tob, Run: st.vsg.Do})
-	}
-	n.stack = n.stacks[0]
-	n.mc = mcast.New(self, ports)
-	if cfg.Record {
-		n.mrec = conform.NewMcastRecorder(self, n.groups)
-		n.mc.AddObserver(n.mrec.Observe)
-	}
-	for _, g := range n.groups {
-		n.stacks[g].tob.SetDeliverHook(n.mc.Hook(g))
-	}
-	n.mux.Start()
-	for _, g := range n.groups {
-		n.stacks[g].vsg.Start()
-	}
-	n.mc.Start()
-	return n, nil
+	p.start()
+	return &Node{ShardedProcess: p, tcp: tcp, transport: transport}, nil
 }
-
-// Groups returns the node's group ids ({0} in single-group mode).
-func (n *Node) Groups() []types.GroupID {
-	if n.mux == nil {
-		return []types.GroupID{0}
-	}
-	return append([]types.GroupID(nil), n.groups...)
-}
-
-// Group returns the stack handle of group g, presented as a Process (the
-// same per-group API the in-memory cluster hands out). In single-group
-// mode only group 0 exists.
-func (n *Node) Group(g types.GroupID) (*Process, bool) {
-	if n.mux == nil {
-		if g != 0 {
-			return nil, false
-		}
-		return &Process{id: n.id, stack: n.stack}, true
-	}
-	st, ok := n.stacks[g]
-	if !ok {
-		return nil, false
-	}
-	return &Process{id: n.id, stack: st}, true
-}
-
-// Submit routes a keyed payload to its group by consistent hash and
-// broadcasts it there. In single-group mode every key routes to group 0.
-// It reports false if the owning group's stack has stopped.
-func (n *Node) Submit(key, payload string) bool {
-	st := n.stack
-	if n.mux != nil {
-		st = n.stacks[n.ring.Group(key)]
-	}
-	return st.vsg.Do(func() { st.tob.Broadcast(payload) })
-}
-
-// SubmitKey returns the group a key routes to.
-func (n *Node) SubmitKey(key string) types.GroupID {
-	if n.mux == nil {
-		return 0
-	}
-	return n.ring.Group(key)
-}
-
-// SubmitMulti atomically multicasts a payload to several groups: every
-// addressed group delivers it, in the same relative order as every other
-// multicast those groups share. Requires sharded mode.
-func (n *Node) SubmitMulti(dests []types.GroupID, payload string) error {
-	if n.mc == nil {
-		return errors.New("dvs: SubmitMulti requires Groups > 1")
-	}
-	return n.mc.Submit(dests, payload)
-}
-
-// McastStats returns the multicast coordinator's counters (zero in
-// single-group mode).
-func (n *Node) McastStats() mcast.Stats {
-	if n.mc == nil {
-		return mcast.Stats{}
-	}
-	return n.mc.Stats()
-}
-
-// McastLog returns this node's recorded multicast trace, and whether one
-// was recorded (sharded mode with NodeConfig.Record). Harvest after Close
-// and check with conform.ReplayMcast together with the other nodes' logs.
-func (n *Node) McastLog() (conform.McastLog, bool) {
-	if n.mrec == nil {
-		return conform.McastLog{}, false
-	}
-	return n.mrec.Log(), true
-}
-
-// ID returns the node's process id.
-func (n *Node) ID() ProcID { return n.id }
 
 // Addr returns the actual TCP listen address.
 func (n *Node) Addr() string { return n.tcp.Addr() }
@@ -330,122 +190,27 @@ func (n *Node) Addr() string { return n.tcp.Addr() }
 // the per-peer breakdown.
 func (n *Node) NetStats() netfab.Stats { return n.tcp.Stats() }
 
-// StatsSnapshot returns the per-layer counters of this node. Transport and
-// vsg counters are always current; dvsg/tob counters are read through the
-// event loop and come back zero if the node has stopped.
+// StatsSnapshot returns the per-layer counters of this node (group 0's
+// stack). Transport and vsg counters are always current; dvsg/tob counters
+// are read through the event loop and come back zero if the node has
+// stopped.
 func (n *Node) StatsSnapshot() NodeStats {
-	s := NodeStats{Net: n.tcp.Stats(), VS: n.vsg.Stats()}
-	if n.check != nil {
-		s.Check = n.check.Stats()
-	}
-	done := make(chan struct{})
-	if n.vsg.Do(func() {
-		s.DVS = n.dvs.Stats()
-		s.TOB = n.tob.Stats()
-		close(done)
-	}) {
-		<-done
-	}
+	s := NodeStats{Net: n.tcp.Stats(), VS: n.VSStats(), Check: n.CheckStats()}
+	s.TOB, s.DVS = n.Stats()
 	return s
 }
 
-// CheckStats returns the online conformance checker's counters, or a zero
-// snapshot if the node was not started with NodeConfig.Online. Thread-safe.
-func (n *Node) CheckStats() OnlineCheckStats {
-	if n.check == nil {
-		return OnlineCheckStats{}
-	}
-	return n.check.Stats()
-}
+// TraceLog returns this node's recorded protocol trace (group 0's), and
+// whether the node was recording. It must be called after Close (and after
+// every peer has stopped) for the combined logs to form the consistent cut
+// ReplayTrace requires.
+func (n *Node) TraceLog() (TraceLog, bool) { return n.GroupTraceLog(0) }
 
-// Broadcast submits a payload for totally-ordered delivery.
-func (n *Node) Broadcast(payload string) bool {
-	return n.vsg.Do(func() { n.tob.Broadcast(payload) })
-}
-
-// Deliveries is the totally ordered stream of messages.
-func (n *Node) Deliveries() <-chan Delivery { return n.tob.Deliveries() }
-
-// Views is the stream of primary views (best effort).
-func (n *Node) Views() <-chan ViewEvent { return n.tob.Views() }
-
-// CurrentPrimary returns the node's current primary view, if any.
-func (n *Node) CurrentPrimary() (View, bool) {
-	type reply struct {
-		v  View
-		ok bool
-	}
-	ch := make(chan reply, 1)
-	if !n.vsg.Do(func() {
-		v, ok := n.dvs.ClientCur()
-		ch <- reply{v.Clone(), ok}
-	}) {
-		return View{}, false
-	}
-	r := <-ch
-	return r.v, r.ok
-}
-
-// Established reports whether the current primary has completed its state
-// exchange at this node.
-func (n *Node) Established() bool {
-	ch := make(chan bool, 1)
-	if !n.vsg.Do(func() {
-		// v0 needs no state exchange: the paper initializes
-		// registered[g0] = P0, so the initial view counts as established.
-		cur, ok := n.tob.Node().Current()
-		ch <- ok && (cur.ID.IsZero() || n.tob.Node().Established(cur.ID))
-	}) {
-		return false
-	}
-	return <-ch
-}
-
-// TraceLog returns this node's recorded protocol trace, and whether the
-// node was recording. It must be called after Close (and after every peer
-// has stopped) for the combined logs to form the consistent cut ReplayTrace
-// requires.
-func (n *Node) TraceLog() (TraceLog, bool) {
-	if n.rec == nil {
-		return TraceLog{}, false
-	}
-	return n.rec.Log(), true
-}
-
-// GroupTraceLog returns group g's recorded trace (sharded mode; group 0 in
-// single-group mode is TraceLog). Each group's logs replay as their own
-// set: the trace of one group is one run of the single-group protocol.
-func (n *Node) GroupTraceLog(g types.GroupID) (TraceLog, bool) {
-	st := n.stack
-	if n.mux != nil {
-		var ok bool
-		if st, ok = n.stacks[g]; !ok {
-			return TraceLog{}, false
-		}
-	} else if g != 0 {
-		return TraceLog{}, false
-	}
-	if st.rec == nil {
-		return TraceLog{}, false
-	}
-	return st.rec.Log(), true
-}
-
-// Close stops the node — every group's stack, the multicast coordinator
-// and group multiplexer in sharded mode — and its transport (including any
-// wrapper installed via WrapTransport).
+// Close stops the node — every group's stack, and with two or more groups
+// the multicast coordinator and group multiplexer — and its transport
+// (including any wrapper installed via WrapTransport).
 func (n *Node) Close() {
-	if n.mc != nil {
-		n.mc.Stop()
-	}
-	if n.mux != nil {
-		for _, g := range n.groups {
-			n.stacks[g].vsg.Stop()
-		}
-		n.mux.Stop()
-	} else {
-		n.vsg.Stop()
-	}
+	n.stop()
 	if closer, ok := n.transport.(interface{ Close() }); ok && n.transport != netfab.Transport(n.tcp) {
 		closer.Close()
 	}

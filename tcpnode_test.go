@@ -6,20 +6,17 @@ import (
 	"time"
 )
 
-// startTCPGroup launches n standalone nodes over real localhost TCP.
-func startTCPGroup(t *testing.T, n int, mode Mode) []*Node {
+// startTCPNodes launches cfg.Processes standalone nodes over localhost
+// TCP on the ports base, base+1, ...; cfg supplies everything but ID,
+// Listen and Peers. The nodes are closed at cleanup.
+func startTCPNodes(t *testing.T, base int, cfg NodeConfig) []*Node {
 	t.Helper()
-	// First pass: bind listeners on ephemeral ports.
-	nodes := make([]*Node, n)
+	n := cfg.Processes
 	addrs := make(map[int]string, n)
-	// Start node 0..n-1 with the addresses discovered incrementally: we
-	// must know every address before starting, so bind in two phases using
-	// ":0" and a placeholder peer map, which we fill by restarting. To keep
-	// it simple and deterministic, bind explicit ports instead.
-	base := 39200 + n*17
 	for i := 0; i < n; i++ {
 		addrs[i] = fmt.Sprintf("127.0.0.1:%d", base+i)
 	}
+	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		peers := make(map[int]string, n-1)
 		for j := 0; j < n; j++ {
@@ -27,14 +24,9 @@ func startTCPGroup(t *testing.T, n int, mode Mode) []*Node {
 				peers[j] = addrs[j]
 			}
 		}
-		node, err := StartNode(NodeConfig{
-			ID:           i,
-			Processes:    n,
-			Listen:       addrs[i],
-			Peers:        peers,
-			Mode:         mode,
-			TickInterval: 5 * time.Millisecond,
-		})
+		c := cfg
+		c.ID, c.Listen, c.Peers = i, addrs[i], peers
+		node, err := StartNode(c)
 		if err != nil {
 			for _, nd := range nodes[:i] {
 				nd.Close()
@@ -49,6 +41,11 @@ func startTCPGroup(t *testing.T, n int, mode Mode) []*Node {
 		}
 	})
 	return nodes
+}
+
+// startTCPGroup launches n single-group nodes on fixed localhost ports.
+func startTCPGroup(t *testing.T, n int, mode Mode) []*Node {
+	return startTCPNodes(t, 39200+n*17, NodeConfig{Processes: n, Mode: mode, TickInterval: 5 * time.Millisecond})
 }
 
 func TestTCPNodesDeliverTotalOrder(t *testing.T) {
@@ -82,40 +79,8 @@ func TestTCPNodesDeliverTotalOrder(t *testing.T) {
 
 func TestTCPNodesShardedDeliverPerGroup(t *testing.T) {
 	const n, groups = 3, 2
-	base := 39600
-	addrs := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", base+i)
-	}
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers[j] = addrs[j]
-			}
-		}
-		node, err := StartNode(NodeConfig{
-			ID:           i,
-			Processes:    n,
-			Listen:       addrs[i],
-			Peers:        peers,
-			Mode:         ModeDynamic,
-			Groups:       groups,
-			TickInterval: 5 * time.Millisecond,
-		})
-		if err != nil {
-			for _, nd := range nodes[:i] {
-				nd.Close()
-			}
-			t.Fatalf("start node %d: %v", i, err)
-		}
-		nodes[i] = node
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
+	nodes := startTCPNodes(t, 39600, NodeConfig{
+		Processes: n, Mode: ModeDynamic, Groups: groups, TickInterval: 5 * time.Millisecond,
 	})
 	time.Sleep(150 * time.Millisecond)
 
